@@ -32,7 +32,7 @@ def main() -> None:
     workers = 8
     print(f"matching {len(s):,} vs {len(t):,} observations within 3 arc seconds, w = {workers}\n")
 
-    executor = repro.DistributedBandJoinExecutor()
+    engine = repro.ParallelJoinEngine(backend="serial")
     bounds = None
     for label, partitioner in (
         (
@@ -47,7 +47,7 @@ def main() -> None:
         ("Grid-eps", repro.GridEpsilonPartitioner()),
     ):
         partitioning = partitioner.partition(s, t, condition, workers=workers)
-        result = executor.execute(s, t, condition, partitioning, verify="count")
+        result = engine.execute(s, t, condition, partitioning, verify="count")
         if bounds is None:
             bounds = repro.compute_lower_bounds(
                 s, t, condition, workers, output_size=result.total_output

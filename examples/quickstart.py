@@ -1,8 +1,9 @@
 """Quickstart: partition and execute one distributed band-join with RecPart.
 
 Generates a skewed synthetic workload, runs RecPart's optimization phase,
-executes the simulated map-shuffle-reduce pipeline, verifies the result
-against a single-machine join and prints the paper's success measures.
+executes the map-shuffle-reduce pipeline on the parallel engine, verifies
+the result against a single-machine join and prints the paper's success
+measures and the running-time model's predicted join time.
 
 Run with:  python examples/quickstart.py
 """
@@ -30,10 +31,14 @@ def main() -> None:
         f"{partitioning.stats.iterations} iterations"
     )
 
-    # 3. Join phase: simulate the distributed execution and verify the output.
-    executor = repro.DistributedBandJoinExecutor(cost_model=repro.default_running_time_model())
-    result = executor.execute(s, t, condition, partitioning, verify="count")
-    print(f"join output: {result.total_output:,} pairs (verified against a single-machine join)")
+    # 3. Join phase: execute the distributed join (the serial backend runs
+    #    the per-worker tasks one after another) and verify the output.
+    engine = repro.ParallelJoinEngine(backend="serial")
+    result = engine.execute(s, t, condition, partitioning, verify="count")
+    print(
+        f"join output: {result.total_output:,} pairs "
+        f"(single-machine join: {result.exact_output:,})"
+    )
 
     # 4. The paper's success measures: how close is the partitioning to the
     #    lower bounds on total input and max worker load?
@@ -48,6 +53,13 @@ def main() -> None:
           f"{bounds.load_overhead(result.max_worker_load):.1%})")
     print(f"most loaded worker: {result.max_worker_input:,} input tuples, "
           f"{result.max_worker_output:,} output pairs")
+    # The uncalibrated model prices a join in load units (one unit per
+    # output pair); calibrate_running_time_model() fits it in seconds.
+    model = repro.default_running_time_model()
+    predicted = model.predict(
+        result.total_input, result.max_worker_input, result.max_worker_output
+    )
+    print(f"predicted join cost (uncalibrated model): {predicted:,.0f} load units")
 
 
 if __name__ == "__main__":

@@ -5,19 +5,22 @@ The package implements the paper's contribution (the RecPart recursive
 partitioner) together with every substrate its evaluation depends on:
 synthetic and real-data-shaped workload generators, input/output sampling,
 local band-join algorithms, the baseline partitioners (1-Bucket, Grid-eps,
-Grid*, CSIO, distributed IEJoin), a simulated MapReduce-style execution
-engine with per-worker accounting, a real parallel execution engine with
-pluggable backends and plan caching (:mod:`repro.engine`), the calibrated
+Grid*, CSIO, distributed IEJoin), a parallel execution engine with
+pluggable backends, per-worker accounting and plan caching
+(:mod:`repro.engine`), the calibrated
 running-time model, and an experiment harness that regenerates every table
 and figure of the paper's evaluation section.
 
 Quickstart
 ----------
 >>> import repro
->>> s, t = repro.correlated_pair(50_000, 50_000, dimensions=3, z=1.5, seed=0)
->>> condition = repro.BandCondition.symmetric(["A1", "A2", "A3"], 2.0)
+>>> s, t = repro.correlated_pair(20_000, 20_000, dimensions=3, z=1.5, seed=0)
+>>> condition = repro.BandCondition.symmetric(["A1", "A2", "A3"], 0.05)
 >>> partitioning = repro.RecPartPartitioner().partition(s, t, condition, workers=8)
->>> result = repro.DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+>>> engine = repro.ParallelJoinEngine(backend="serial")
+>>> result = engine.execute(s, t, condition, partitioning, verify="count")
+>>> result.total_output == result.exact_output
+True
 >>> result.duplication_ratio < 0.1
 True
 """
@@ -27,6 +30,7 @@ from repro.exceptions import (
     BandConditionError,
     CostModelError,
     ExecutionError,
+    NonFiniteInputError,
     OptimizationError,
     PartitioningError,
     ReproError,
@@ -68,8 +72,6 @@ from repro.baselines.grid import GridEpsilonPartitioner
 from repro.baselines.grid_star import GridStarPartitioner
 from repro.baselines.csio import CSIOPartitioner
 from repro.baselines.iejoin import IEJoinPartitioner
-from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.executor import DistributedBandJoinExecutor, ExecutionResult
 from repro.engine import EngineResult, ParallelJoinEngine, PlanCache, available_backends
 from repro.service import (
     BandJoinService,
@@ -98,6 +100,7 @@ __all__ = [
     "SamplingError",
     "CostModelError",
     "ExecutionError",
+    "NonFiniteInputError",
     "WorkloadError",
     # geometry and data
     "BandCondition",
@@ -138,9 +141,6 @@ __all__ = [
     "CSIOPartitioner",
     "IEJoinPartitioner",
     # execution
-    "SimulatedCluster",
-    "DistributedBandJoinExecutor",
-    "ExecutionResult",
     "ParallelJoinEngine",
     "EngineResult",
     "PlanCache",

@@ -24,6 +24,7 @@ import argparse
 import sys
 
 from repro.config import (
+    DEFAULT_ENGINE_BACKEND,
     DEFAULT_LOCAL_ALGORITHM,
     ENGINE_BACKENDS,
     LOCAL_ALGORITHM_NAMES,
@@ -52,7 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     demo = subparsers.add_parser("demo", help="run one workload with every partitioner")
     demo.add_argument("--rows", type=int, default=20_000, help="tuples per input relation")
-    demo.add_argument("--workers", type=int, default=8, help="number of simulated workers")
+    demo.add_argument("--workers", type=int, default=8, help="number of partition workers")
     demo.add_argument("--dimensions", type=int, default=3, help="join dimensionality")
     demo.add_argument("--band-width", type=float, default=0.05, help="band width per dimension")
     demo.add_argument("--skew", type=float, default=1.5, help="Pareto skew parameter z")
@@ -60,8 +61,8 @@ def _build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--engine",
         choices=ENGINE_BACKENDS,
-        default="simulated",
-        help="execution mode of the reduce phase (default: simulated)",
+        default=DEFAULT_ENGINE_BACKEND,
+        help="engine backend of the reduce phase (default: %(default)s)",
     )
     demo.add_argument(
         "--local-algorithm",
@@ -388,6 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _command_demo(args: argparse.Namespace) -> int:
+    from repro.engine import ParallelJoinEngine
     from repro.experiments.runner import default_partitioners, run_workload
     from repro.experiments.workloads import pareto_workload
 
@@ -405,8 +407,7 @@ def _command_demo(args: argparse.Namespace) -> int:
         workload,
         partitioners=partitioners,
         verify="count" if args.verify else "none",
-        engine=args.engine,
-        local_algorithm=args.local_algorithm,
+        engine=ParallelJoinEngine(backend=args.engine, algorithm=args.local_algorithm),
     )
     print(experiment.format())
     best = experiment.best_method()

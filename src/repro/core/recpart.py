@@ -155,7 +155,7 @@ class RecPartPartitioner(Partitioner):
         if self.config.termination == "theoretical":
             return TheoreticalTermination(ctx)
         # The paper uses a window of w iterations on its 30-60 node clusters;
-        # for the small simulated clusters used here the same "small multiple
+        # for the small clusters used here the same "small multiple
         # of w" reasoning needs a floor, otherwise a brief plateau (e.g. while
         # several sparse leaves are trimmed before the dense core is split)
         # terminates the search prematurely.

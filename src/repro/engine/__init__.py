@@ -1,8 +1,8 @@
 """Real parallel execution engine with pluggable backends and plan caching.
 
-This subpackage replaces "distributed execution as bookkeeping" with
-execution on actual hardware, while keeping the planning layer (the
-partitioners of :mod:`repro.core` and :mod:`repro.baselines`) untouched:
+This subpackage executes the distributed band-join on actual hardware and
+is the library's only execution path; the planning layer (the partitioners
+of :mod:`repro.core` and :mod:`repro.baselines`) stays separate:
 
 * :mod:`repro.engine.routing` — vectorised batch routing: all tuples are
   routed and grouped per partition unit with numpy masks, then gathered
@@ -15,8 +15,8 @@ partitioners of :mod:`repro.core` and :mod:`repro.baselines`) untouched:
   content fingerprints, band condition and worker budget, so repeated
   queries over the same data skip the optimization phase entirely.
 * :mod:`repro.engine.engine` — :class:`ParallelJoinEngine`, which ties the
-  above together and reports :class:`EngineResult` objects that plug into
-  the existing :class:`~repro.distributed.stats.JobStats` metrics.
+  above together and reports :class:`EngineResult` objects carrying the
+  per-worker :class:`~repro.distributed.stats.JobStats` accounting.
 
 Quickstart
 ----------
@@ -32,7 +32,6 @@ True
 """
 
 from repro.engine.backends import (
-    SIMULATED,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
@@ -71,7 +70,6 @@ __all__ = [
     "TaskOutcome",
     "available_backends",
     "get_backend",
-    "SIMULATED",
     # plan cache
     "PlanCache",
     "PlanCacheStats",

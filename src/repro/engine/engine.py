@@ -9,9 +9,10 @@ a :class:`~repro.core.partitioner.JoinPartitioning` and two relations it
 3. executes the tasks on real hardware through a pluggable backend
    (:mod:`repro.engine.backends` — ``serial``, ``threads`` or
    ``processes``), and
-4. folds the outcomes into the same :class:`~repro.distributed.stats.JobStats`
-   accounting the simulated executor produces, so every existing metric,
-   table and report consumes engine results unchanged.
+4. folds the outcomes into per-worker
+   :class:`~repro.distributed.stats.JobStats` accounting, from which the
+   paper's measures (``I``, ``I_m``, ``O_m``, ``L_m``, duplication) follow,
+   and optionally verifies the output against a single-machine join.
 
 :meth:`ParallelJoinEngine.join` is the query-level entry point: it runs the
 optimizer (RecPart by default) through a :class:`~repro.engine.plan_cache.PlanCache`,
@@ -24,6 +25,7 @@ produce the exact pair set of the ``serial`` reference.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from dataclasses import dataclass
 
@@ -47,10 +49,14 @@ from repro.engine.sources import StoreMatrixSource
 from repro.exceptions import ExecutionError
 from repro.geometry.band import BandCondition
 from repro.local_join import get_local_algorithm
-from repro.local_join.base import LocalJoinAlgorithm
+from repro.local_join.base import LocalJoinAlgorithm, canonical_pair_order
+from repro.local_join.index_nested_loop import IndexNestedLoopJoin
 from repro.obs import get_logger, tracer
 
 logger = get_logger(__name__)
+
+#: Output checks accepted by :meth:`ParallelJoinEngine.execute`.
+VERIFY_MODES: tuple[str, ...] = ("none", "count", "pairs")
 
 
 @dataclass
@@ -73,6 +79,7 @@ class EngineResult:
     optimization_seconds: float = 0.0
     plan_from_cache: bool = False
     pairs: np.ndarray | None = None
+    exact_output: int | None = None
 
     @property
     def total_output(self) -> int:
@@ -134,6 +141,7 @@ class EngineResult:
                 "plan_from_cache": self.plan_from_cache,
                 "speedup": self.speedup,
                 "max_local_seconds": self.max_local_seconds,
+                "exact_output": self.exact_output,
             }
         )
         return info
@@ -193,15 +201,9 @@ class ParallelJoinEngine:
         algorithm: LocalJoinAlgorithm | str | None = None,
         weights: LoadWeights | None = None,
     ) -> "ParallelJoinEngine":
-        """Build an engine from an :class:`~repro.config.EngineConfig`.
-
-        ``backend="simulated"`` maps to the ``serial`` reference backend —
-        the engine always executes for real; the simulated bookkeeping path
-        lives in :class:`~repro.distributed.executor.DistributedBandJoinExecutor`.
-        """
-        backend = "serial" if config.is_simulated else config.backend
+        """Build an engine from an :class:`~repro.config.EngineConfig`."""
         return cls(
-            backend=backend,
+            backend=config.backend,
             algorithm=algorithm if algorithm is not None else config.local_algorithm,
             weights=weights,
             plan_cache=PlanCache(max_entries=config.plan_cache_size),
@@ -220,6 +222,7 @@ class ParallelJoinEngine:
         condition: BandCondition,
         partitioning: JoinPartitioning,
         materialize: bool = False,
+        verify: str = "none",
     ) -> EngineResult:
         """Execute a band-join under an existing partitioning.
 
@@ -228,59 +231,117 @@ class ParallelJoinEngine:
         materialize:
             Materialise the output pairs (original S/T row indices) on the
             result; otherwise only counts are produced.
+        verify:
+            ``"none"`` (default), ``"count"`` (the total output must match
+            the single-machine join) or ``"pairs"`` (pair-by-pair check,
+            which also detects duplicated output; implies ``materialize``).
+            The reference output size lands on ``exact_output``; a mismatch
+            raises :class:`~repro.exceptions.ExecutionError`.
         """
+        if verify not in VERIFY_MODES:
+            raise ExecutionError(f"verify must be one of {VERIFY_MODES}, got {verify!r}")
+        materialize = materialize or verify == "pairs"
         condition.validate_against(s.column_names)
         condition.validate_against(t.column_names)
-        if s.storage != "memory" or t.storage != "memory":
-            return self._execute_streamed(s, t, condition, partitioning, materialize)
+        streamed = s.storage != "memory" or t.storage != "memory"
         wall_start = time.perf_counter()
-        s_matrix = s.join_matrix(condition.attributes)
-        t_matrix = t.join_matrix(condition.attributes)
+        with contextlib.ExitStack() as scratch:
+            routing_start = time.perf_counter()
+            with tracer().span(
+                "route", workers=partitioning.workers, streamed=streamed
+            ):
+                s_data, t_data, tasks, s_counts, t_counts = self._route(
+                    s, t, condition, partitioning, streamed, scratch
+                )
+            routing_seconds = time.perf_counter() - routing_start
 
-        routing_start = time.perf_counter()
-        with tracer().span("route", workers=partitioning.workers):
-            s_routed = route_side(partitioning, s_matrix, "S")
-            t_routed = route_side(partitioning, t_matrix, "T")
-            offset_step = unit_offset_step(s_matrix, t_matrix, condition)
-            tasks = build_worker_tasks(partitioning, s_routed, t_routed, offset_step)
-        routing_seconds = time.perf_counter() - routing_start
+            execution_start = time.perf_counter()
+            with tracer().span(
+                "local_join", backend=self.backend.name, tasks=len(tasks),
+                streamed=streamed,
+            ) as join_span:
+                outcomes = self.backend.run(
+                    tasks, s_data, t_data, condition, self.algorithm, materialize,
+                    trace_ctx=join_span.context,
+                )
+                for outcome in outcomes:
+                    if outcome.spans:
+                        tracer().attach(join_span.context, outcome.spans)
+            execution_seconds = time.perf_counter() - execution_start
 
-        execution_start = time.perf_counter()
-        with tracer().span(
-            "local_join", backend=self.backend.name, tasks=len(tasks)
-        ) as join_span:
-            outcomes = self.backend.run(
-                tasks, s_matrix, t_matrix, condition, self.algorithm, materialize,
-                trace_ctx=join_span.context,
-            )
-            for outcome in outcomes:
-                if outcome.spans:
-                    tracer().attach(join_span.context, outcome.spans)
-        execution_seconds = time.perf_counter() - execution_start
-
-        with tracer().span("merge"):
-            s_counts = worker_input_counts(partitioning, s_routed)
-            t_counts = worker_input_counts(partitioning, t_routed)
-            job, pairs = self._merge_outcomes(
-                partitioning, outcomes, s_counts, t_counts, materialize,
-                baseline_input=len(s) + len(t),
-            )
+            with tracer().span("merge"):
+                job, pairs = self._merge_outcomes(
+                    partitioning, outcomes, s_counts, t_counts, materialize,
+                    baseline_input=len(s) + len(t),
+                )
+        wall_seconds = time.perf_counter() - wall_start
         logger.debug(
-            "executed %d tasks on %s: output=%d exec=%.4fs route=%.4fs",
-            len(tasks), self.backend.name, job.total_output,
+            "executed %d tasks on %s (streamed=%s): output=%d exec=%.4fs route=%.4fs",
+            len(tasks), self.backend.name, streamed, job.total_output,
             execution_seconds, routing_seconds,
         )
+        exact_output = None
+        if verify != "none":
+            exact_output = _verify(s, t, condition, job.total_output, pairs, verify)
         return EngineResult(
             backend=self.backend.name,
             partitioning=partitioning,
             job=job,
             weights=self.weights,
-            wall_seconds=time.perf_counter() - wall_start,
+            wall_seconds=wall_seconds,
             routing_seconds=routing_seconds,
             execution_seconds=execution_seconds,
             optimization_seconds=partitioning.stats.optimization_seconds,
             pairs=pairs,
+            exact_output=exact_output,
         )
+
+    def _route(
+        self,
+        s: Relation,
+        t: Relation,
+        condition: BandCondition,
+        partitioning: JoinPartitioning,
+        streamed: bool,
+        scratch: contextlib.ExitStack,
+    ) -> tuple:
+        """Route both sides into per-worker tasks.
+
+        Returns the two backend inputs, the tasks and the per-worker
+        deduplicated input counts of S and T.  In-memory relations route
+        their join matrices in one vectorised pass.  When a side is
+        mmap-backed (``streamed``) the join streams instead: routing reads each side in
+        bounded float chunks and spills the per-worker row/offset arrays to
+        a scratch arena (closed by ``scratch``); backends receive
+        :class:`StoreMatrixSource` views (segment paths, not data) and tasks
+        gather their inputs into scratch memory maps, so peak resident
+        memory is bounded by the chunk and kernel budgets rather than the
+        relation sizes.
+        """
+        attributes = condition.attributes
+        if not streamed:
+            s_matrix = s.join_matrix(attributes)
+            t_matrix = t.join_matrix(attributes)
+            s_routed = route_side(partitioning, s_matrix, "S")
+            t_routed = route_side(partitioning, t_matrix, "T")
+            offset_step = unit_offset_step(s_matrix, t_matrix, condition)
+            tasks = build_worker_tasks(partitioning, s_routed, t_routed, offset_step)
+            return (
+                s_matrix,
+                t_matrix,
+                tasks,
+                worker_input_counts(partitioning, s_routed),
+                worker_input_counts(partitioning, t_routed),
+            )
+        s_source = StoreMatrixSource.from_relation(s, attributes)
+        t_source = StoreMatrixSource.from_relation(t, attributes)
+        scratch.callback(t_source.release)
+        scratch.callback(s_source.release)
+        arena = scratch.enter_context(SpillArena.scratch(self.spill_dir))
+        tasks, s_counts, t_counts, _ = stream_worker_tasks(
+            partitioning, s_source, t_source, condition, arena, self.chunk_bytes
+        )
+        return s_source, t_source, tasks, s_counts, t_counts
 
     def _merge_outcomes(
         self,
@@ -317,75 +378,6 @@ class ParallelJoinEngine:
                 else np.empty((0, 2), dtype=np.int64)
             )
         return job, pairs
-
-    def _execute_streamed(
-        self,
-        s: Relation,
-        t: Relation,
-        condition: BandCondition,
-        partitioning: JoinPartitioning,
-        materialize: bool,
-    ) -> EngineResult:
-        """Out-of-core execution: stream column slices, never the matrices.
-
-        Taken whenever a side is mmap-backed.  Routing reads each side in
-        bounded float chunks and spills the per-worker row/offset arrays to
-        a scratch arena; backends receive :class:`StoreMatrixSource` views
-        (segment paths, not data) and tasks gather their inputs into scratch
-        memory maps, so peak resident memory is bounded by the chunk and
-        kernel budgets rather than the relation sizes.
-        """
-        wall_start = time.perf_counter()
-        s_source = StoreMatrixSource.from_relation(s, condition.attributes)
-        t_source = StoreMatrixSource.from_relation(t, condition.attributes)
-        with SpillArena.scratch(self.spill_dir) as arena:
-            routing_start = time.perf_counter()
-            with tracer().span(
-                "route", workers=partitioning.workers, streamed=True
-            ):
-                tasks, s_counts, t_counts, _ = stream_worker_tasks(
-                    partitioning, s_source, t_source, condition, arena,
-                    self.chunk_bytes,
-                )
-            routing_seconds = time.perf_counter() - routing_start
-
-            execution_start = time.perf_counter()
-            with tracer().span(
-                "local_join", backend=self.backend.name, tasks=len(tasks),
-                streamed=True,
-            ) as join_span:
-                outcomes = self.backend.run(
-                    tasks, s_source, t_source, condition, self.algorithm,
-                    materialize, trace_ctx=join_span.context,
-                )
-                for outcome in outcomes:
-                    if outcome.spans:
-                        tracer().attach(join_span.context, outcome.spans)
-            execution_seconds = time.perf_counter() - execution_start
-
-            with tracer().span("merge"):
-                job, pairs = self._merge_outcomes(
-                    partitioning, outcomes, s_counts, t_counts, materialize,
-                    baseline_input=len(s) + len(t),
-                )
-        s_source.release()
-        t_source.release()
-        logger.debug(
-            "streamed %d tasks on %s: output=%d exec=%.4fs route=%.4fs",
-            len(tasks), self.backend.name, job.total_output,
-            execution_seconds, routing_seconds,
-        )
-        return EngineResult(
-            backend=self.backend.name,
-            partitioning=partitioning,
-            job=job,
-            weights=self.weights,
-            wall_seconds=time.perf_counter() - wall_start,
-            routing_seconds=routing_seconds,
-            execution_seconds=execution_seconds,
-            optimization_seconds=partitioning.stats.optimization_seconds,
-            pairs=pairs,
-        )
 
     def join(
         self,
@@ -424,3 +416,39 @@ class ParallelJoinEngine:
             f"ParallelJoinEngine(backend={self.backend.name!r}, "
             f"algorithm={self.algorithm.name!r})"
         )
+
+
+def _verify(
+    s: Relation,
+    t: Relation,
+    condition: BandCondition,
+    total_output: int,
+    pairs: np.ndarray | None,
+    verify: str,
+) -> int:
+    """Check a distributed result against the single-machine reference join.
+
+    Returns the reference output size; raises
+    :class:`~repro.exceptions.ExecutionError` on any mismatch.
+    """
+    s_matrix = s.join_matrix(condition.attributes)
+    t_matrix = t.join_matrix(condition.attributes)
+    reference_algorithm = IndexNestedLoopJoin()
+    if verify == "count":
+        exact = int(reference_algorithm.count(s_matrix, t_matrix, condition))
+        if exact != total_output:
+            raise ExecutionError(
+                f"distributed output {total_output} does not match the "
+                f"single-machine join output {exact}"
+            )
+        return exact
+    reference = canonical_pair_order(
+        reference_algorithm.join(s_matrix, t_matrix, condition)
+    )
+    produced = canonical_pair_order(pairs)
+    if produced.shape != reference.shape or not np.array_equal(produced, reference):
+        raise ExecutionError(
+            "distributed output pairs do not match the single-machine join "
+            f"({produced.shape[0]} produced vs {reference.shape[0]} expected)"
+        )
+    return int(reference.shape[0])

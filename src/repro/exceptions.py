@@ -23,6 +23,11 @@ class BandConditionError(ReproError):
     unknown attribute)."""
 
 
+class NonFiniteInputError(ReproError):
+    """Input data holds NaN, +inf or -inf.  Band-joins are defined on finite
+    values only, so such data is rejected when it enters the catalog."""
+
+
 class PartitioningError(ReproError):
     """A partitioner produced an invalid partitioning (e.g. a tuple routed to
     no worker, or an output pair covered by zero or more than one worker)."""
@@ -44,8 +49,8 @@ class CostModelError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """The simulated distributed execution detected an inconsistency, e.g.
-    duplicate output pairs produced by two different workers."""
+    """The distributed execution detected an inconsistency (e.g. output that
+    does not match the single-machine join) or was misconfigured."""
 
 
 class WorkloadError(ReproError):

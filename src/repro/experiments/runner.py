@@ -1,11 +1,12 @@
 """End-to-end experiment runner.
 
 ``run_workload`` takes one workload (dataset + band condition + cluster size)
-and a set of partitioners, runs the full optimize -> partition -> simulated
-execution pipeline for each, and collects the per-method measures the paper
-reports in its tables: optimization time, estimated join time, total input
-``I`` (with duplicates), and the input ``I_m`` / output ``O_m`` of the most
-loaded worker, plus the overheads over the lower bounds used by Figure 4.
+and a set of partitioners, runs the full optimize -> partition -> execute
+pipeline for each on a :class:`~repro.engine.engine.ParallelJoinEngine`, and
+collects the per-method measures the paper reports in its tables:
+optimization time, estimated join time, total input ``I`` (with
+duplicates), and the input ``I_m`` / output ``O_m`` of the most loaded
+worker, plus the overheads over the lower bounds used by Figure 4.
 
 Failures (e.g. Grid-eps refusing to materialise an astronomically replicated
 input, or being undefined for band width zero) are captured as failed method
@@ -25,7 +26,7 @@ from repro.core.partitioner import Partitioner
 from repro.cost.lower_bounds import LowerBounds, compute_lower_bounds
 from repro.cost.model import RunningTimeModel, default_running_time_model
 from repro.data.relation import Relation
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine.engine import ParallelJoinEngine
 from repro.exceptions import ReproError
 from repro.experiments.workloads import Workload
 from repro.geometry.band import BandCondition
@@ -195,19 +196,22 @@ def run_method(
     condition: BandCondition,
     workers: int,
     bounds: LowerBounds | None,
-    executor: DistributedBandJoinExecutor,
+    engine: ParallelJoinEngine,
+    cost_model: RunningTimeModel | None = None,
     verify: str = "none",
     rng: np.random.Generator | None = None,
 ) -> MethodResult:
     """Run one partitioner end-to-end and package the measurements.
 
     ``bounds`` may be ``None``; the overhead fields are then left at zero and
-    can be filled in later with :func:`attach_overheads`.
+    can be filled in later with :func:`attach_overheads`.  With a
+    ``cost_model`` the predicted join time of the executed partitioning is
+    recorded too.
     """
     start = time.perf_counter()
     try:
         partitioning = partitioner.partition(s, t, condition, workers, rng=rng)
-        execution = executor.execute(s, t, condition, partitioning, verify=verify)
+        execution = engine.execute(s, t, condition, partitioning, verify=verify)
     except ReproError as error:
         return MethodResult(
             method=partitioner.name,
@@ -220,7 +224,15 @@ def run_method(
         method=partitioner.name,
         optimization_seconds=partitioning.stats.optimization_seconds,
         execution_seconds=elapsed - partitioning.stats.optimization_seconds,
-        predicted_join_time=execution.predicted_join_time,
+        predicted_join_time=(
+            cost_model.predict(
+                execution.total_input,
+                execution.max_worker_input,
+                execution.max_worker_output,
+            )
+            if cost_model is not None
+            else None
+        ),
         total_input=execution.total_input,
         max_worker_input=execution.max_worker_input,
         max_worker_output=execution.max_worker_output,
@@ -248,29 +260,24 @@ def run_workload(
     cost_model: RunningTimeModel | None = None,
     verify: str = "none",
     seed: int = 0,
-    engine: str | None = None,
-    local_algorithm: str | None = None,
+    engine: ParallelJoinEngine | None = None,
 ) -> ExperimentResult:
     """Run every partitioner on one workload and collect the paper-style measures.
 
-    ``engine`` selects the execution mode of the reduce phase:
-    ``None``/``"simulated"`` keeps the sequential in-driver path, while
-    ``"serial"``, ``"threads"`` or ``"processes"`` dispatch the local joins
-    to the corresponding :mod:`repro.engine` backend.  ``local_algorithm``
-    picks the per-worker kernel by registry name (``"index-nested-loop"``,
-    ``"sort-sweep"``, ``"iejoin-local"``, ``"nested-loop"``, ``"auto"``);
-    the pair counts are kernel-independent, only the reduce-phase speed
-    changes.
+    ``engine`` executes every partitioning; the default is a ``serial``
+    engine with the paper's index-nested-loop kernel and ``weights``.  A
+    caller-supplied engine picks the backend and the per-worker kernel (the
+    measures are backend- and kernel-independent, only the reduce-phase
+    speed changes) and should carry the same ``weights``.
     """
     weights = weights if weights is not None else LoadWeights()
     cost_model = cost_model if cost_model is not None else default_running_time_model()
     if partitioners is None:
         partitioners = default_partitioners(weights=weights, cost_model=cost_model, seed=seed)
+    if engine is None:
+        engine = ParallelJoinEngine(backend="serial", weights=weights)
 
     s, t, condition = workload.build()
-    executor = DistributedBandJoinExecutor(
-        algorithm=local_algorithm, weights=weights, cost_model=cost_model, engine=engine
-    )
 
     results = []
     for partitioner in partitioners:
@@ -289,13 +296,14 @@ def run_workload(
                 condition,
                 workload.workers,
                 None,
-                executor,
+                engine,
+                cost_model=cost_model,
                 verify=verify,
                 rng=rng,
             )
         )
 
-    # Every successful execution produced the exact join output (the executor
+    # Every successful execution produced the exact join output (the engine
     # verifies this when asked), so the lower bounds can reuse that count
     # instead of recomputing the full join.
     exact_output: float | None = None

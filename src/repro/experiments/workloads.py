@@ -2,7 +2,7 @@
 
 The paper evaluates on inputs of 200-800 million tuples on a 30-node EMR
 cluster.  This reproduction uses the same data *distributions* at
-laptop-scale cardinalities (default 50,000 tuples per input, 8 simulated
+laptop-scale cardinalities (default 50,000 tuples per input, 8 partition
 workers) with band widths re-calibrated so that the output-size / input-size
 ratios land in the same regimes as the corresponding paper workloads
 (selective joins with output below input size up to heavy joins with output
@@ -38,7 +38,7 @@ from repro.geometry.band import BandCondition
 #: Default tuples per input relation (the paper uses 200 million).
 DEFAULT_ROWS_PER_INPUT: int = 50_000
 
-#: Default number of simulated workers (the paper uses 30 EMR nodes).
+#: Default number of partition workers (the paper uses 30 EMR nodes).
 DEFAULT_WORKLOAD_WORKERS: int = 8
 
 #: Decimal rounding applied to the 1D Pareto data so the equi-join
@@ -65,7 +65,7 @@ class Workload:
     rows_per_input:
         Number of tuples generated per input relation.
     workers:
-        Number of simulated workers.
+        Number of partition workers.
     skew:
         Pareto shape parameter ``z`` (ignored by the non-Pareto datasets).
     seed:

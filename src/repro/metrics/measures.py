@@ -16,11 +16,14 @@ this overhead plane; :class:`OverheadPoint` is that point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.config import LoadWeights
 from repro.cost.lower_bounds import LowerBounds
-from repro.distributed.executor import ExecutionResult
 from repro.exceptions import ReproError
+
+if TYPE_CHECKING:
+    from repro.engine.engine import EngineResult
 
 
 def input_duplication_overhead(total_input: float, baseline_input: float) -> float:
@@ -72,7 +75,7 @@ class OverheadPoint:
 
 
 def overhead_point(
-    result: ExecutionResult,
+    result: EngineResult,
     bounds: LowerBounds,
     workload: str,
     weights: LoadWeights | None = None,

@@ -41,7 +41,7 @@ from repro.config import (
 )
 from repro.data.relation import Relation
 from repro.data.storage import recover_spill_dir
-from repro.exceptions import CorruptSegmentError, ServiceError
+from repro.exceptions import CorruptSegmentError, NonFiniteInputError, ServiceError
 from repro.obs.globals import registry as obs_registry
 
 __all__ = ["RelationSnapshot", "RelationCatalog"]
@@ -67,6 +67,29 @@ def _as_relation(name: str, data) -> Relation:
         f"relation data for {name!r} must be a Relation or a column mapping, "
         f"got {type(data).__name__}"
     )
+
+
+def _reject_non_finite(relation: Relation) -> None:
+    """Raise :class:`NonFiniteInputError` if a float column holds NaN or ±inf.
+
+    The scan reads the columns in bounded chunks, so an out-of-core relation
+    is checked without being materialized.
+    """
+    columns = [
+        c for c in relation.column_names
+        if np.issubdtype(relation.store.dtype(c), np.floating)
+    ]
+    if not columns or len(relation) == 0:
+        return
+    for start, _, chunk in relation.iter_join_matrix(columns):
+        bad = np.argwhere(~np.isfinite(chunk))
+        if bad.size:
+            row, col = bad[0]
+            raise NonFiniteInputError(
+                f"relation {relation.name!r} column {columns[col]!r} holds the "
+                f"non-finite value {chunk[row, col]} at row {start + row}; "
+                "band-joins need finite values"
+            )
 
 
 class RelationSnapshot:
@@ -298,8 +321,12 @@ class RelationCatalog:
         Under ``storage="mmap"`` a heap relation at or above the spill
         threshold is rewritten to memory-mapped segments before it enters
         the catalog, so registration — not first query — pays the I/O.
+        Data holding NaN or ±inf raises :class:`NonFiniteInputError` before
+        anything is stored.
         """
-        relation = self._maybe_spill(_as_relation(name, data))
+        relation = _as_relation(name, data)
+        _reject_non_finite(relation)
+        relation = self._maybe_spill(relation)
         with self._lock:
             existing = self._entries.get(name)
             if existing is not None and not replace:
@@ -347,9 +374,11 @@ class RelationCatalog:
         itself (and therefore every cached plan and base result) is
         untouched.  When the grown delta pushes the relation past the
         staleness threshold, ``on_stale(name)`` fires after the catalog
-        lock is released.
+        lock is released.  Rows holding NaN or ±inf raise
+        :class:`NonFiniteInputError` and leave the relation unchanged.
         """
         delta_rows = _as_relation(name, rows)
+        _reject_non_finite(delta_rows)
         stale = False
         with self._lock:
             current = self._entries.get(name)

@@ -45,8 +45,11 @@ from dataclasses import dataclass, replace
 from repro.config import DEFAULT_MAX_BATCH, DEFAULT_MAX_PENDING, DEFAULT_SCHEDULER_WORKERS
 from repro.engine import deadline as deadline_mod
 from repro.exceptions import (
+    BandConditionError,
     CorruptSegmentError,
     DeadlineExceededError,
+    NonFiniteInputError,
+    SchemaError,
     ServiceError,
     ServiceOverloadError,
 )
@@ -73,11 +76,15 @@ __all__ = ["QueryScheduler", "SchedulerMetrics"]
 logger = get_logger(__name__)
 
 #: Failure causes reported by ``repro_query_failures_total``.
-FAILURE_CAUSES = ("overload", "worker_crash", "timeout", "corrupt_segment", "internal")
+FAILURE_CAUSES = (
+    "overload", "worker_crash", "timeout", "corrupt_segment", "invalid_input", "internal"
+)
 
 
 def _failure_cause(exc: BaseException) -> str:
     """Classify an execution failure for the labeled failure counter."""
+    if isinstance(exc, (BandConditionError, SchemaError, NonFiniteInputError)):
+        return "invalid_input"
     if isinstance(exc, ServiceOverloadError):
         return "overload"
     if isinstance(exc, DeadlineExceededError):
@@ -122,7 +129,7 @@ class SchedulerMetrics:
         self._failures = self.registry.counter(
             "repro_query_failures_total",
             "request failures classified by cause "
-            "(overload/worker_crash/timeout/corrupt_segment/internal)",
+            "(overload/worker_crash/timeout/corrupt_segment/invalid_input/internal)",
         )
         self._degraded = self.registry.counter(
             "repro_degraded_responses_total",

@@ -18,8 +18,6 @@ from repro.config import EngineConfig
 from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import correlated_pair, uniform_relation
 from repro.data.relation import Relation
-from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.executor import DistributedBandJoinExecutor
 from repro.engine import (
     ParallelJoinEngine,
     PlanCache,
@@ -106,7 +104,7 @@ class TestRouting:
     def test_worker_input_counts_match_executor_accounting(self):
         s, t, condition = _small_problem()
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        result = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+        result = ParallelJoinEngine("serial").execute(s, t, condition, partitioning)
         s_routed = route_side(partitioning, s.join_matrix(condition.attributes), "S")
         counts = worker_input_counts(partitioning, s_routed)
         for stats in result.job.workers:
@@ -157,19 +155,22 @@ class TestBackendEquivalence:
         assert result.total_output == 0
         assert result.pairs.shape == (0, 2)
 
-    def test_engine_job_stats_match_simulated_executor(self):
-        """EngineResult plugs into the same JobStats accounting as the simulator."""
+    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    def test_job_stats_match_serial_reference(self, backend):
+        """Every backend reports the serial reference's paper measures."""
         s, t, condition = _small_problem(seed=3)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        simulated = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
-        engine = ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning)
-        assert engine.total_input == simulated.total_input
-        assert engine.total_output == simulated.total_output
-        assert engine.max_worker_input == simulated.max_worker_input
-        assert engine.duplication_ratio == pytest.approx(simulated.duplication_ratio)
-        summary = engine.summary()
-        assert summary["backend"] == "serial"
-        assert summary["total_output"] == simulated.total_output
+        serial = ParallelJoinEngine(backend="serial").execute(s, t, condition, partitioning)
+        other = ParallelJoinEngine(backend=backend).execute(s, t, condition, partitioning)
+        assert other.total_input == serial.total_input
+        assert other.total_output == serial.total_output
+        assert other.max_worker_input == serial.max_worker_input
+        assert other.max_worker_output == serial.max_worker_output
+        assert other.max_worker_load == serial.max_worker_load
+        assert other.duplication_ratio == pytest.approx(serial.duplication_ratio)
+        summary = other.summary()
+        assert summary["backend"] == backend
+        assert summary["total_output"] == serial.total_output
 
 
 class TestPlanCache:
@@ -296,34 +297,61 @@ class TestExecutorEngineIntegration:
     def test_executor_verifies_pairs_on_engine_backend(self, backend):
         s, t, condition = _small_problem(seed=29)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        executor = DistributedBandJoinExecutor(engine=backend)
-        result = executor.execute(s, t, condition, partitioning, verify="pairs")
+        engine = ParallelJoinEngine(backend=backend)
+        result = engine.execute(s, t, condition, partitioning, verify="pairs")
         assert result.backend == backend
-        assert result.engine_seconds is not None and result.engine_seconds >= 0
+        assert result.execution_seconds >= 0
+        assert result.pairs is not None  # "pairs" implies materialisation
         assert result.exact_output == result.total_output
 
-    def test_executor_engine_accounting_matches_simulated(self):
+    def test_verify_count_on_streamed_relations(self, tmp_path):
+        s, t, condition = _small_problem(seed=30)
+        partitioning = RecPartPartitioner().partition(s, t, condition, workers=3)
+        s_mmap = s.spill(str(tmp_path / "s"))
+        t_mmap = t.spill(str(tmp_path / "t"))
+        result = ParallelJoinEngine("serial").execute(
+            s_mmap, t_mmap, condition, partitioning, verify="count"
+        )
+        assert result.pairs is None
+        assert result.exact_output == result.total_output
+
+    @pytest.mark.parametrize("verify", ["count", "pairs"])
+    def test_verify_rejects_wrong_output(self, verify):
+        """The single-machine oracle catches a kernel that drops pairs."""
+
+        class DroppingJoin(IndexNestedLoopJoin):
+            def join(self, *args, **kwargs):
+                return super().join(*args, **kwargs)[1:]
+
+            def count(self, *args, **kwargs):
+                return max(0, super().count(*args, **kwargs) - 1)
+
+        s, t, condition = _small_problem(seed=33, n=400)
+        partitioning = RecPartPartitioner().partition(s, t, condition, workers=3)
+        engine = ParallelJoinEngine("serial", algorithm=DroppingJoin())
+        with pytest.raises(ExecutionError, match="single-machine join"):
+            engine.execute(s, t, condition, partitioning, verify=verify)
+
+    def test_per_worker_accounting_matches_serial(self):
         s, t, condition = _small_problem(seed=31)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        simulated = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
-        threaded = DistributedBandJoinExecutor(engine="threads").execute(
-            s, t, condition, partitioning
+        serial = ParallelJoinEngine("serial").execute(s, t, condition, partitioning)
+        threaded = ParallelJoinEngine("threads").execute(s, t, condition, partitioning)
+        assert threaded.total_input == serial.total_input
+        assert threaded.total_output == serial.total_output
+        per_worker_serial = sorted(
+            (w.worker_id, w.input_s, w.input_t, w.output, w.units)
+            for w in serial.job.workers
         )
-        assert simulated.backend == "simulated"
-        assert simulated.engine_seconds is None
-        assert threaded.total_input == simulated.total_input
-        assert threaded.total_output == simulated.total_output
-        per_worker_sim = sorted(
-            (w.worker_id, w.output, w.units) for w in simulated.job.workers
+        per_worker_threads = sorted(
+            (w.worker_id, w.input_s, w.input_t, w.output, w.units)
+            for w in threaded.job.workers
         )
-        per_worker_eng = sorted(
-            (w.worker_id, w.output, w.units) for w in threaded.job.workers
-        )
-        assert per_worker_sim == per_worker_eng
-        assert sum(w.units for w in simulated.job.workers) == partitioning.n_units
+        assert per_worker_serial == per_worker_threads
+        assert sum(w.units for w in serial.job.workers) == partitioning.n_units
 
-    def test_engine_path_runs_the_cluster_algorithm(self):
-        """A caller-supplied cluster's algorithm is honoured on real backends too."""
+    def test_engine_runs_the_caller_supplied_algorithm(self):
+        """A caller-supplied algorithm instance is honoured on real backends."""
 
         class CountingJoin(IndexNestedLoopJoin):
             def __init__(self):
@@ -337,23 +365,16 @@ class TestExecutorEngineIntegration:
         s, t, condition = _small_problem(seed=37, n=400)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=3)
         algorithm = CountingJoin()
-        cluster = SimulatedCluster(3, algorithm=algorithm)
-        DistributedBandJoinExecutor(engine="threads").execute(
-            s, t, condition, partitioning, cluster=cluster
+        ParallelJoinEngine("threads", algorithm=algorithm).execute(
+            s, t, condition, partitioning
         )
         assert algorithm.calls > 0
 
-    def test_executor_accepts_engine_config(self):
-        executor = DistributedBandJoinExecutor(
-            engine=EngineConfig(backend="threads", max_parallelism=2)
-        )
-        assert executor.backend_name == "threads"
-        simulated = DistributedBandJoinExecutor(engine=EngineConfig())
-        assert simulated.backend_name == "simulated"
-
     def test_unknown_backend_rejected(self):
         with pytest.raises(ExecutionError):
-            DistributedBandJoinExecutor(engine="gpu")
+            ParallelJoinEngine(backend="gpu")
+        with pytest.raises(ExecutionError):
+            ParallelJoinEngine(backend="simulated")
         with pytest.raises(ExecutionError):
             get_backend("gpu")
 
@@ -367,7 +388,7 @@ class TestExecutorEngineIntegration:
 class TestEngineConfig:
     def test_defaults(self):
         config = EngineConfig()
-        assert config.is_simulated
+        assert config.backend == "serial"
         assert config.plan_cache_size >= 1
 
     def test_engine_from_config(self):
@@ -375,12 +396,12 @@ class TestEngineConfig:
         engine = ParallelJoinEngine.from_config(config)
         assert engine.backend.name == "threads"
         assert engine.plan_cache.max_entries == 7
-        # The engine always executes for real: "simulated" maps to serial.
         assert ParallelJoinEngine.from_config(EngineConfig()).backend.name == "serial"
 
     def test_invalid_backend(self):
-        with pytest.raises(ValueError):
-            EngineConfig(backend="gpu")
+        for backend in ("gpu", "simulated"):
+            with pytest.raises(ValueError):
+                EngineConfig(backend=backend)
 
     def test_invalid_parallelism(self):
         with pytest.raises(ValueError):
@@ -438,8 +459,6 @@ class TestKernelSelectionAndBudget:
         engine = ParallelJoinEngine.from_config(config)
         assert engine.algorithm.name == "auto"
         assert engine.backend.memory_budget == 1 << 20
-        executor = DistributedBandJoinExecutor(engine=config)
-        assert executor.algorithm.name == "auto"
 
     def test_engine_config_rejects_bad_kernel_settings(self):
         with pytest.raises(ValueError):

@@ -21,9 +21,9 @@ from repro.core.recpart import RecPartPartitioner, RecPartSPartitioner
 from repro.cost.model import default_running_time_model
 from repro.data.generators import correlated_pair, uniform_relation
 from repro.data.synthetic_real import ebird_cloud_pair
-from repro.distributed.cluster import SimulatedCluster
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.exceptions import ExecutionError
+from repro.experiments.runner import run_method
 from repro.geometry.band import BandCondition
 from repro.local_join.sort_band import SortSweepJoin
 
@@ -48,7 +48,7 @@ class TestExactOutputAcrossPartitioners:
         s, t = correlated_pair(1500, 1500, dimensions=2, z=1.5, seed=41)
         condition = BandCondition.symmetric(["A1", "A2"], 0.1)
         partitioning = partitioner.partition(s, t, condition, workers=5)
-        result = DistributedBandJoinExecutor().execute(
+        result = ParallelJoinEngine("serial").execute(
             s, t, condition, partitioning, verify="pairs"
         )
         assert result.exact_output == result.total_output
@@ -58,14 +58,14 @@ class TestExactOutputAcrossPartitioners:
         s, t = correlated_pair(800, 900, dimensions=1, z=1.5, seed=42)
         condition = BandCondition({"A1": (0.02, 0.3)})
         partitioning = partitioner.partition(s, t, condition, workers=3)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="pairs")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="pairs")
 
     @pytest.mark.parametrize("partitioner", ALL_PARTITIONERS, ids=_partitioner_id)
     def test_unequal_input_sizes(self, partitioner):
         s, t = correlated_pair(300, 2500, dimensions=2, z=1.0, seed=43)
         condition = BandCondition.symmetric(["A1", "A2"], 0.2)
         partitioning = partitioner.partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="pairs")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="pairs")
 
     @pytest.mark.parametrize(
         "partitioner",
@@ -83,7 +83,7 @@ class TestExactOutputAcrossPartitioners:
         t = Relation("T", {"A1": t_values})
         condition = BandCondition.symmetric(["A1"], 0.0)
         partitioning = partitioner.partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="pairs")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="pairs")
 
     @pytest.mark.parametrize(
         "partitioner", [RecPartPartitioner(), CSIOPartitioner(), OneBucketPartitioner()],
@@ -93,7 +93,7 @@ class TestExactOutputAcrossPartitioners:
         s, t = ebird_cloud_pair(1200, seed=3)
         condition = BandCondition.symmetric(["time", "latitude", "longitude"], 5.0)
         partitioning = partitioner.partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="count")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="count")
 
     @pytest.mark.parametrize("partitioner", ALL_PARTITIONERS, ids=_partitioner_id)
     def test_empty_output_join(self, partitioner):
@@ -101,52 +101,49 @@ class TestExactOutputAcrossPartitioners:
         t = uniform_relation("T", 400, dimensions=1, low=10.0, high=11.0, seed=1)
         condition = BandCondition.symmetric(["A1"], 0.1)
         partitioning = partitioner.partition(s, t, condition, workers=3)
-        result = DistributedBandJoinExecutor().execute(
+        result = ParallelJoinEngine("serial").execute(
             s, t, condition, partitioning, verify="count"
         )
         assert result.total_output == 0
 
 
 class TestExecutorBehaviour:
-    def test_worker_count_mismatch_rejected(self):
-        s, t = correlated_pair(500, 500, dimensions=1, seed=0)
-        condition = BandCondition.symmetric(["A1"], 0.1)
-        partitioning = OneBucketPartitioner().partition(s, t, condition, workers=4)
-        with pytest.raises(ExecutionError):
-            DistributedBandJoinExecutor().execute(
-                s, t, condition, partitioning, cluster=SimulatedCluster(2)
-            )
-
     def test_invalid_verify_mode(self):
         s, t = correlated_pair(200, 200, dimensions=1, seed=0)
         condition = BandCondition.symmetric(["A1"], 0.1)
         partitioning = OneBucketPartitioner().partition(s, t, condition, workers=2)
         with pytest.raises(ExecutionError):
-            DistributedBandJoinExecutor().execute(
+            ParallelJoinEngine("serial").execute(
                 s, t, condition, partitioning, verify="everything"
             )
 
     def test_predicted_join_time_attached(self):
         s, t = correlated_pair(800, 800, dimensions=1, seed=0)
         condition = BandCondition.symmetric(["A1"], 0.05)
-        executor = DistributedBandJoinExecutor(cost_model=default_running_time_model())
-        partitioning = RecPartSPartitioner().partition(s, t, condition, workers=3)
-        result = executor.execute(s, t, condition, partitioning)
+        model = default_running_time_model()
+        result = run_method(
+            RecPartSPartitioner(), s, t, condition, 3, None,
+            ParallelJoinEngine("serial"), cost_model=model,
+        )
         assert result.predicted_join_time is not None
         assert result.predicted_join_time > 0
+        assert result.predicted_join_time == model.predict(
+            result.total_input, result.max_worker_input, result.max_worker_output
+        )
 
     def test_alternative_local_algorithm(self):
         s, t = correlated_pair(800, 800, dimensions=1, seed=1)
         condition = BandCondition.symmetric(["A1"], 0.05)
-        executor = DistributedBandJoinExecutor(algorithm=SortSweepJoin())
+        engine = ParallelJoinEngine("serial", algorithm=SortSweepJoin())
         partitioning = RecPartSPartitioner().partition(s, t, condition, workers=3)
-        executor.execute(s, t, condition, partitioning, verify="count")
+        result = engine.execute(s, t, condition, partitioning, verify="count")
+        assert result.exact_output == result.total_output
 
     def test_summary_contains_paper_measures(self, weights):
         s, t = correlated_pair(600, 600, dimensions=1, seed=2)
         condition = BandCondition.symmetric(["A1"], 0.05)
         partitioning = CSIOPartitioner().partition(s, t, condition, workers=3)
-        result = DistributedBandJoinExecutor(weights=weights).execute(
+        result = ParallelJoinEngine("serial", weights=weights).execute(
             s, t, condition, partitioning
         )
         summary = result.summary()
@@ -162,14 +159,14 @@ class TestExecutorBehaviour:
         # One worker: all block pairs land on it, so its input must be exactly
         # |S| + |T| even though blocks participate in many pairs.
         partitioning = IEJoinPartitioner(size_per_block=200).partition(s, t, condition, 1)
-        result = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+        result = ParallelJoinEngine("serial").execute(s, t, condition, partitioning)
         assert result.total_input == len(s) + len(t)
 
     def test_worker_stats_sum_to_totals(self, weights):
         s, t = correlated_pair(900, 900, dimensions=2, z=1.5, seed=4)
         condition = BandCondition.symmetric(["A1", "A2"], 0.1)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        result = DistributedBandJoinExecutor(weights=weights).execute(
+        result = ParallelJoinEngine("serial", weights=weights).execute(
             s, t, condition, partitioning, verify="count"
         )
         assert sum(w.output for w in result.job.workers) == result.total_output

@@ -32,8 +32,11 @@ from repro.engine.backends import (
     SerialBackend,
 )
 from repro.exceptions import (
+    BandConditionError,
     CorruptSegmentError,
     DeadlineExceededError,
+    NonFiniteInputError,
+    SchemaError,
     ServiceError,
     ServiceOverloadError,
 )
@@ -458,6 +461,9 @@ class TestSchedulerRobustness:
             (ValueError("boom"), "internal"),
             (CorruptSegmentError("torn"), "corrupt_segment"),
             (DeadlineExceededError("late"), "timeout"),
+            (BandConditionError("negative width"), "invalid_input"),
+            (SchemaError("no such column"), "invalid_input"),
+            (NonFiniteInputError("nan"), "invalid_input"),
         ]
         with QueryScheduler(max_workers=1, max_pending=8) as scheduler:
             for i, (exc, cause) in enumerate(cases):
@@ -667,6 +673,19 @@ class TestServiceChaos:
             service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.05)
             result = service.query("q")
             assert result.n_pairs > 0
+
+    def test_bad_band_widths_count_as_invalid_input(self):
+        rng = np.random.default_rng(31)
+        with BandJoinService(
+            ServiceConfig(backend="serial", compaction="sync", capture=False)
+        ) as service:
+            service.register("S", _service_columns(rng, 100))
+            service.register("T", _service_columns(rng, 100))
+            service.prepare("q", "S", "T", attributes=["A1"], epsilons=0.05)
+            for eps in (-0.1, float("nan"), float("inf")):
+                with pytest.raises(BandConditionError):
+                    service.query("q", [eps])
+            assert service.scheduler.metrics.failures == {"invalid_input": 3}
 
     def test_health_surfaces_classified_failures(self):
         with BandJoinService(

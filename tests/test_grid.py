@@ -15,7 +15,7 @@ from repro.baselines.grid_star import GridStarPartitioner, estimate_grid_statist
 from repro.config import LoadWeights
 from repro.cost.model import default_running_time_model
 from repro.data.generators import correlated_pair, uniform_relation
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.exceptions import PartitioningError
 from repro.geometry.band import BandCondition
 from repro.sampling.input_sampler import draw_input_sample
@@ -60,7 +60,7 @@ class TestGridPartitioner:
         s, t = correlated_pair(2000, 2000, dimensions=2, z=1.5, seed=5)
         condition = BandCondition.symmetric(["A1", "A2"], 0.1)
         partitioning = GridEpsilonPartitioner().partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="pairs")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="pairs")
 
     def test_s_tuples_not_duplicated(self):
         s, t = correlated_pair(1000, 1000, dimensions=1, z=1.5, seed=6)
@@ -93,7 +93,7 @@ class TestGridPartitioner:
         partitioning = GridEpsilonPartitioner(assignment="hash").partition(
             s, t, condition, workers=4
         )
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="count")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="count")
 
     def test_invalid_assignment_mode(self):
         with pytest.raises(PartitioningError):
@@ -152,11 +152,11 @@ class TestGridStar:
     def test_grid_star_beats_default_grid_on_duplication(self):
         s, t = correlated_pair(4000, 4000, dimensions=2, z=1.5, seed=15)
         condition = BandCondition.symmetric(["A1", "A2"], 0.05)
-        executor = DistributedBandJoinExecutor()
-        default_grid = executor.execute(
+        engine = ParallelJoinEngine("serial")
+        default_grid = engine.execute(
             s, t, condition, GridEpsilonPartitioner().partition(s, t, condition, 4)
         )
-        tuned = executor.execute(
+        tuned = engine.execute(
             s, t, condition, GridStarPartitioner().partition(s, t, condition, 4)
         )
         assert tuned.total_input <= default_grid.total_input
@@ -165,7 +165,7 @@ class TestGridStar:
         s, t = correlated_pair(2000, 2000, dimensions=2, z=1.5, seed=16)
         condition = BandCondition.symmetric(["A1", "A2"], 0.1)
         partitioning = GridStarPartitioner().partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="count")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="count")
 
     def test_invalid_parameters(self):
         with pytest.raises(PartitioningError):

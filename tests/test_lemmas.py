@@ -15,7 +15,7 @@ from repro.config import LoadWeights
 from repro.cost.lower_bounds import compute_lower_bounds
 from repro.data.generators import pareto_relation, uniform_relation
 from repro.data.relation import Relation
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.geometry.band import BandCondition
 from repro.local_join.base import join_pair_count
 
@@ -34,10 +34,10 @@ class TestLemma1LowerBounds:
         weights = LoadWeights()
         workers = 4
         bounds = compute_lower_bounds(s, t, condition, workers, weights=weights)
-        executor = DistributedBandJoinExecutor(weights=weights)
+        engine = ParallelJoinEngine("serial", weights=weights)
         for partitioner in (RecPartPartitioner(), OneBucketPartitioner(), CSIOPartitioner()):
             partitioning = partitioner.partition(s, t, condition, workers)
-            result = executor.execute(s, t, condition, partitioning)
+            result = engine.execute(s, t, condition, partitioning)
             assert result.total_input >= bounds.total_input
             assert result.max_worker_load >= bounds.max_worker_load * (1 - 1e-9)
 

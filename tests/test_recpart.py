@@ -10,7 +10,7 @@ from repro.core.recpart import RecPartPartitioner, RecPartSPartitioner
 from repro.core.split_tree import SplitTreePartitioning
 from repro.cost.lower_bounds import compute_lower_bounds
 from repro.data.generators import correlated_pair, uniform_relation
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.exceptions import PartitioningError
 from repro.geometry.band import BandCondition
 
@@ -63,7 +63,7 @@ class TestRecPartBasics:
     def test_single_worker_is_trivial(self, pareto_3d, condition_3d_wide):
         s, t = pareto_3d
         partitioning = RecPartSPartitioner().partition(s, t, condition_3d_wide, workers=1)
-        result = DistributedBandJoinExecutor().execute(s, t, condition_3d_wide, partitioning)
+        result = ParallelJoinEngine("serial").execute(s, t, condition_3d_wide, partitioning)
         # One worker receives everything exactly once: no duplication possible.
         assert result.total_input == len(s) + len(t)
 
@@ -91,7 +91,7 @@ class TestRecPartQuality:
         partitioning = RecPartSPartitioner(weights=weights).partition(
             s, t, condition_3d_wide, workers=workers
         )
-        result = DistributedBandJoinExecutor(weights=weights).execute(
+        result = ParallelJoinEngine("serial", weights=weights).execute(
             s, t, condition_3d_wide, partitioning, verify="count"
         )
         # Far better than "everything on one worker" (overhead w - 1 = 3).
@@ -104,7 +104,7 @@ class TestRecPartQuality:
         s, t = correlated_pair(3000, 3000, dimensions=1, z=1.5, seed=3)
         condition = BandCondition.symmetric(["A1"], 0.0)
         partitioning = RecPartSPartitioner().partition(s, t, condition, workers=4)
-        result = DistributedBandJoinExecutor().execute(s, t, condition, partitioning)
+        result = ParallelJoinEngine("serial").execute(s, t, condition, partitioning)
         assert result.total_input == len(s) + len(t)
 
     def test_correct_output_on_uniform_data(self):
@@ -112,12 +112,12 @@ class TestRecPartQuality:
         t = uniform_relation("T", 1500, dimensions=2, seed=6)
         condition = BandCondition.symmetric(["A1", "A2"], 0.05)
         partitioning = RecPartPartitioner().partition(s, t, condition, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="pairs")
+        ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="pairs")
 
     def test_correct_output_on_skewed_data(self, pareto_3d, condition_3d_wide):
         s, t = pareto_3d
         partitioning = RecPartSPartitioner().partition(s, t, condition_3d_wide, workers=4)
-        DistributedBandJoinExecutor().execute(s, t, condition_3d_wide, partitioning, verify="count")
+        ParallelJoinEngine("serial").execute(s, t, condition_3d_wide, partitioning, verify="count")
 
     def test_symmetric_splits_help_on_reverse_pareto(self):
         """Paper Tables 9/14: on anti-correlated data RecPart (symmetric) achieves a
@@ -125,11 +125,11 @@ class TestRecPartQuality:
         s, t = correlated_pair(4000, 4000, dimensions=1, z=1.5, reverse=True, seed=9)
         condition = BandCondition.symmetric(["A1"], 2.0)
         weights = LoadWeights()
-        executor = DistributedBandJoinExecutor(weights=weights)
-        asymmetric = executor.execute(
+        engine = ParallelJoinEngine("serial", weights=weights)
+        asymmetric = engine.execute(
             s, t, condition, RecPartSPartitioner(weights=weights).partition(s, t, condition, 4)
         )
-        symmetric = executor.execute(
+        symmetric = engine.execute(
             s, t, condition, RecPartPartitioner(weights=weights).partition(s, t, condition, 4)
         )
         assert symmetric.max_worker_load <= asymmetric.max_worker_load * 1.05
@@ -173,7 +173,7 @@ class TestRecPartConfiguration:
         partitioning = RecPartSPartitioner(config=config).partition(
             s, t, condition_3d_wide, workers=4
         )
-        DistributedBandJoinExecutor().execute(
+        ParallelJoinEngine("serial").execute(
             s, t, condition_3d_wide, partitioning, verify="count"
         )
 

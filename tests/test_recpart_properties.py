@@ -1,6 +1,6 @@
 """Property-based tests of RecPart's core invariants (hypothesis).
 
-These drive the full optimizer + executor pipeline with randomly generated
+These drive the full optimizer + engine pipeline with randomly generated
 small inputs and check the invariants that must hold for *any* input:
 
 * every input tuple reaches at least one worker,
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.config import RecPartConfig
 from repro.core.recpart import RecPartPartitioner, RecPartSPartitioner
 from repro.data.relation import Relation
-from repro.distributed.executor import DistributedBandJoinExecutor
+from repro.engine import ParallelJoinEngine
 from repro.geometry.band import BandCondition
 
 
@@ -64,7 +64,7 @@ def test_recpart_produces_exact_output_on_any_input(instance, symmetric):
     partitioner_cls = RecPartPartitioner if symmetric else RecPartSPartitioner
     config = RecPartConfig(sample_size=256)
     partitioning = partitioner_cls(config=config).partition(s, t, condition, workers)
-    result = DistributedBandJoinExecutor().execute(
+    result = ParallelJoinEngine("serial").execute(
         s, t, condition, partitioning, verify="pairs"
     )
     assert result.total_output == result.exact_output
@@ -97,7 +97,7 @@ def test_equi_join_never_duplicates(instance):
     )
     config = RecPartConfig(sample_size=256)
     partitioning = RecPartPartitioner(config=config).partition(s, t, condition, workers)
-    result = DistributedBandJoinExecutor().execute(s, t, condition, partitioning, verify="count")
+    result = ParallelJoinEngine("serial").execute(s, t, condition, partitioning, verify="count")
     info = partitioning.describe()
     if info["small_leaves_in_grid_mode"] == 0:
         assert result.total_input == len(s) + len(t)

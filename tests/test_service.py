@@ -27,7 +27,7 @@ from repro.core.recpart import RecPartPartitioner
 from repro.data.generators import uniform_relation
 from repro.data.relation import Relation
 from repro.engine import ParallelJoinEngine
-from repro.exceptions import ServiceError, ServiceOverloadError
+from repro.exceptions import NonFiniteInputError, ServiceError, ServiceOverloadError
 from repro.geometry.band import BandCondition
 from repro.local_join.base import canonical_pair_order
 from repro.service import (
@@ -109,6 +109,32 @@ class TestRelationCatalog:
         catalog.register("S", {"A1": np.arange(3.0), "A2": np.arange(3.0)})
         with pytest.raises(ServiceError):
             catalog.append("S", {"A1": np.arange(2.0)})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_register_rejects_non_finite_values(self, bad):
+        catalog = RelationCatalog()
+        with pytest.raises(NonFiniteInputError, match="non-finite"):
+            catalog.register("S", {"A1": [0.5, bad, 1.5]})
+        assert "S" not in catalog
+
+    def test_register_rejects_non_finite_mmap_relation(self, tmp_path):
+        values = np.arange(5000.0)
+        values[4321] = np.nan
+        relation = Relation("S", {"A1": values}).spill(
+            str(tmp_path / "s"), segment_bytes=4096
+        )
+        catalog = RelationCatalog()
+        with pytest.raises(NonFiniteInputError, match="row 4321"):
+            catalog.register("S", relation)
+        assert "S" not in catalog
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_append_rejects_non_finite_values(self, bad):
+        catalog = RelationCatalog(staleness_threshold=10.0)
+        snapshot = catalog.register("S", {"A1": np.arange(3.0)})
+        with pytest.raises(NonFiniteInputError):
+            catalog.append("S", {"A1": [4.0, bad]})
+        assert catalog.get("S") is snapshot
 
     def test_empty_append_is_a_noop(self):
         catalog = RelationCatalog()
@@ -581,6 +607,24 @@ class TestServiceFacadeAndServer:
         assert responses[8]["catalog"]["S"]["delta_rows"] == 10
         assert not responses[10]["ok"] and "nope" in responses[10]["error"]
         assert responses[11] == {"ok": True, "op": "quit"}
+
+    def test_line_protocol_rejects_non_finite_columns(self):
+        lines = [
+            '{"op": "register", "name": "S", "columns": {"A1": [0.1, NaN]}}',
+            '{"op": "register", "name": "S", "columns": {"A1": [0.1, 0.2]}}',
+            '{"op": "append", "name": "S", "columns": {"A1": [Infinity]}}',
+            '{"op": "append", "name": "S", "columns": {"A1": [-Infinity, 0.3]}}',
+            '{"op": "catalog"}',
+        ]
+        out = io.StringIO()
+        with sync_service() as service:
+            serve_lines(service, lines, out)
+        responses = [json.loads(line) for line in out.getvalue().splitlines()]
+        assert [r["ok"] for r in responses] == [False, True, False, False, True]
+        for response in (responses[0], responses[2], responses[3]):
+            assert "non-finite" in response["error"]
+        assert responses[4]["catalog"]["S"]["rows"] == 2
+        assert responses[4]["catalog"]["S"]["version"] == 1
 
     def test_malformed_lines_keep_the_session_alive(self):
         out = io.StringIO()
