@@ -12,6 +12,12 @@ Every fast local algorithm in this package reduces to the same three steps:
 3. **Residual filtering** — the remaining band dimensions are verified with
    vectorized masks over the candidate chunk.
 
+Steps 2 and 3 run fused in one native call per chunk when the C tier
+(:mod:`repro.local_join.native`) could be built: it walks each window and
+writes only the surviving pairs, with the GIL released.  Without a C
+compiler the numpy expansion and masks above run instead; they are the
+oracle the native scan is tested against.
+
 Counting never materializes pairs: a one-dimensional condition is answered
 purely from the window arithmetic (``sum(hi - lo)``, no per-row allocation at
 all), and multi-dimensional counts accumulate ``mask.sum()`` chunk by chunk,
@@ -35,6 +41,7 @@ import numpy as np
 from repro import faults
 from repro.data.storage import block_spans, madvise_dontneed
 from repro.geometry.band import BandCondition
+from repro.local_join import native
 from repro.local_join.base import empty_pairs
 from repro.obs.kernelprof import kernel_profile_start, publish_kernel_profile
 
@@ -49,6 +56,7 @@ __all__ = [
     "interval_join",
     "interval_count",
     "kernel_scratch",
+    "native_available",
 ]
 
 #: Default candidate-buffer budget (bytes) of one kernel invocation.  Chosen
@@ -58,6 +66,8 @@ DEFAULT_MEMORY_BUDGET: int = 64 * 1024 * 1024
 
 #: Approximate bytes held per candidate pair during expansion + filtering
 #: (two int64 position arrays, one float64 diff, one bool mask, slack).
+#: The native scan holds only its two int64 output buffers (16 B); the
+#: budget keeps the numpy figure so both tiers cut identical chunks.
 CANDIDATE_BYTES: int = 32
 
 
@@ -158,6 +168,45 @@ def chunk_spans(counts: np.ndarray, candidate_cap: int) -> Iterator[tuple[int, i
         start = stop
 
 
+def _candidate_blocks(
+    lows: np.ndarray, counts: np.ndarray, candidate_cap: int
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, int]]:
+    """Yield ``(row_start, block_lows, block_counts, total)`` candidate
+    blocks of at most ``candidate_cap`` candidates each, without expanding.
+
+    Rows ``row_start, row_start + 1, ...`` own the windows
+    ``[block_lows[k], block_lows[k] + block_counts[k])``; ``total`` is their
+    summed size.  Oversized single windows are cut into cap-sized slices so
+    the cap holds for *every* block, keeping peak transient memory bounded.
+    """
+    for start, stop in chunk_spans(counts, candidate_cap):
+        if stop == start + 1 and counts[start] > candidate_cap:
+            lo = int(lows[start])
+            hi = lo + int(counts[start])
+            for piece in range(lo, hi, candidate_cap):
+                size = min(candidate_cap, hi - piece)
+                yield start, np.array([piece], np.int64), np.array([size], np.int64), size
+            continue
+        block_counts = counts[start:stop]
+        total = int(block_counts.sum())
+        if total:
+            yield start, lows[start:stop], block_counts, total
+
+
+def _expand(
+    row_start: int, block_lows: np.ndarray, block_counts: np.ndarray, total: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Expand one candidate block into ``(probe_pos, window_pos)`` arrays."""
+    probe_pos = np.repeat(
+        np.arange(row_start, row_start + block_counts.shape[0], dtype=np.int64),
+        block_counts,
+    )
+    # One fused repeat: each row contributes lows[row] - (elements emitted
+    # before it), so adding arange(total) walks its window left to right.
+    shifts = block_lows - (np.cumsum(block_counts) - block_counts)
+    return probe_pos, np.repeat(shifts, block_counts) + np.arange(total, dtype=np.int64)
+
+
 def iter_window_candidates(
     lows: np.ndarray, counts: np.ndarray, candidate_cap: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -168,24 +217,8 @@ def iter_window_candidates(
     Oversized single windows are emitted in slices so the cap holds for
     *every* chunk, keeping peak transient memory bounded.
     """
-    for start, stop in chunk_spans(counts, candidate_cap):
-        if stop == start + 1 and counts[start] > candidate_cap:
-            lo = int(lows[start])
-            hi = lo + int(counts[start])
-            for piece in range(lo, hi, candidate_cap):
-                window_pos = np.arange(piece, min(piece + candidate_cap, hi), dtype=np.int64)
-                probe_pos = np.full(window_pos.size, start, dtype=np.int64)
-                yield probe_pos, window_pos
-            continue
-        chunk_counts = counts[start:stop]
-        total = int(chunk_counts.sum())
-        if total == 0:
-            continue
-        probe_pos = np.repeat(np.arange(start, stop, dtype=np.int64), chunk_counts)
-        # One fused repeat: each row contributes lows[row] - (elements emitted
-        # before it), so adding arange(total) walks its window left to right.
-        shifts = lows[start:stop] - (np.cumsum(chunk_counts) - chunk_counts)
-        yield probe_pos, np.repeat(shifts, chunk_counts) + np.arange(total, dtype=np.int64)
+    for block in _candidate_blocks(lows, counts, candidate_cap):
+        yield _expand(*block)
 
 
 def residual_mask(
@@ -225,8 +258,9 @@ def _iter_matches(
     probe_is_s: bool,
     candidate_cap: int,
     profile: dict | None = None,
+    materialize: bool = True,
 ):
-    """Yield fully verified ``(probe_pos, window_pos)`` chunks.
+    """Yield fully verified ``(kept, probe_pos, window_pos)`` chunks.
 
     ``probe_side`` must be sorted on ``dim`` (so the ``[lo, hi)`` windows are
     monotone and each chunk's windows union into one contiguous slice of the
@@ -240,9 +274,18 @@ def _iter_matches(
     expanded candidate count by orders of magnitude; the skipped dimension is
     recovered by the residual mask, which always verifies every dimension
     except the expanded one.
+
+    Each candidate block is scanned and filtered by one call into the native
+    tier (:mod:`repro.local_join.native`) when it is available and both
+    sides are C-contiguous float64; otherwise :func:`_numpy_scan` expands
+    and masks it.  Both apply the same float test and emit survivors in the
+    same order.  Without ``materialize`` the native tier only counts, and
+    the positions are ``None``.
     """
     d = probe_side.shape[1]
     eps_left, eps_right = condition.eps_arrays()
+    scan = native.library() if _native_eligible(probe_side, sorted_side) else None
+    scan_block = _numpy_scan if scan is None else scan.scan
     highs = lows + counts
     for start, stop in chunk_spans(counts, candidate_cap):
         chunk_counts = counts[start:stop]
@@ -285,40 +328,71 @@ def _iter_matches(
                     slice_map = sort_idx
         if profile is not None and slice_map is not None:
             profile["resort_wins"] += 1
-        for probe_local, window_local in iter_window_candidates(
+        for row_start, block_lows, block_counts, total in _candidate_blocks(
             window_lows, window_counts, candidate_cap
         ):
             if profile is not None:
                 profile["chunks"] += 1
-                profile["candidates"] += int(probe_local.size)
-                if probe_local.size > profile["max_chunk"]:
-                    profile["max_chunk"] = int(probe_local.size)
-            probe_pos = probe_local + start
-            if slice_map is not None:
-                window_pos = slice_map[window_local] + lo
-            else:
-                window_pos = window_local
-            if d > 1:
-                if probe_is_s:
-                    keep = residual_mask(
-                        probe_side, probe_pos, sorted_side, window_pos,
-                        eps_left, eps_right, expand_dim,
-                    )
-                else:
-                    keep = residual_mask(
-                        sorted_side, window_pos, probe_side, probe_pos,
-                        eps_left, eps_right, expand_dim,
-                    )
-                probe_pos = probe_pos[keep]
-                window_pos = window_pos[keep]
-                if probe_pos.size == 0:
-                    continue
+                profile["candidates"] += total
+                if total > profile["max_chunk"]:
+                    profile["max_chunk"] = total
+            kept, probe_pos, window_pos = scan_block(
+                probe_side, sorted_side, start + row_start, block_lows,
+                block_counts, total, slice_map, lo, eps_left, eps_right,
+                expand_dim, probe_is_s, materialize,
+            )
+            if kept == 0:
+                continue
             if profile is not None:
-                profile["pairs"] += int(probe_pos.size)
-            yield probe_pos, window_pos
+                profile["pairs"] += kept
+            yield kept, probe_pos, window_pos
         # Memory-mapped sides: drop the pages this chunk touched before
         # moving on, so a full pass stays within a bounded resident set.
         _recycle(probe_side, sorted_side)
+
+
+def _numpy_scan(
+    probe_side: np.ndarray,
+    sorted_side: np.ndarray,
+    start: int,
+    block_lows: np.ndarray,
+    block_counts: np.ndarray,
+    total: int,
+    slice_map: np.ndarray | None,
+    lo: int,
+    eps_left: np.ndarray,
+    eps_right: np.ndarray,
+    expand_dim: int,
+    probe_is_s: bool,
+    materialize: bool = True,
+) -> tuple[int, np.ndarray, np.ndarray]:
+    """The numpy form of :meth:`repro.local_join.native.BandScan.scan`:
+    expand one candidate block with ``repeat``/``arange``, then keep the
+    pairs passing :func:`residual_mask` (positions are always returned)."""
+    probe_pos, window_local = _expand(start, block_lows, block_counts, total)
+    window_pos = window_local if slice_map is None else slice_map[window_local] + lo
+    if probe_is_s:
+        keep = residual_mask(
+            probe_side, probe_pos, sorted_side, window_pos, eps_left, eps_right, expand_dim
+        )
+    else:
+        keep = residual_mask(
+            sorted_side, window_pos, probe_side, probe_pos, eps_left, eps_right, expand_dim
+        )
+    probe_pos = probe_pos[keep]
+    return int(probe_pos.size), probe_pos, window_pos[keep]
+
+
+def _native_eligible(*sides: np.ndarray) -> bool:
+    """Whether the native scan can read ``sides`` in place."""
+    return all(
+        side.dtype == np.float64 and side.flags.c_contiguous for side in sides
+    )
+
+
+def native_available() -> bool:
+    """Whether the native fused scan is built and loaded in this process."""
+    return native.library() is not None
 
 
 def _oriented_widths(
@@ -379,7 +453,7 @@ def interval_count(
     lows, highs = window_bounds(sorted_side[:, dim], probe_side[:, dim], below, above)
     _recycle(probe_side, sorted_side)
     total = 0
-    for probe_pos, _ in _iter_matches(
+    for kept, _, _ in _iter_matches(
         probe_side,
         sorted_side,
         lows,
@@ -389,8 +463,9 @@ def interval_count(
         probe_is_s,
         max_candidates(memory_budget),
         profile=profile,
+        materialize=False,
     ):
-        total += int(probe_pos.size)
+        total += kept
     if profile is not None:
         publish_kernel_profile(
             profile, "count", int(probe_arr.shape[1]),
@@ -464,7 +539,7 @@ def interval_join(
     _recycle(probe_side, sorted_side)
 
     chunks: list[np.ndarray] = []
-    for probe_pos, window_pos in _iter_matches(
+    for _, probe_pos, window_pos in _iter_matches(
         probe_side,
         sorted_side,
         lows,

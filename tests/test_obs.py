@@ -338,6 +338,72 @@ class TestNoopEquivalence:
         np.testing.assert_array_equal(answers[False], answers[True])
 
 
+class TestKernelTelemetry:
+    """The native scan publishes exactly the numpy kernel's profile, so
+    ``local_join.useful_frac`` and EXPLAIN's kernel actuals keep their
+    meaning whichever tier ran."""
+
+    COUNTERS = (
+        "repro_kernel_chunks_total",
+        "repro_kernel_candidates_total",
+        "repro_kernel_pairs_total",
+        "repro_kernel_resort_probes_total",
+        "repro_kernel_resort_wins_total",
+    )
+
+    @staticmethod
+    def _clustered(seed):
+        # Three tied A1 clusters: the sweep windows span a whole cluster, so
+        # chunks re-sort on A2, and small budgets slice single windows.
+        rng = np.random.default_rng(seed)
+        return np.column_stack(
+            [rng.integers(0, 3, 600).astype(float), rng.uniform(0, 10, 600)]
+        )
+
+    def _run(self, monkeypatch):
+        from repro.local_join import kernels
+        from repro.obs.kernelprof import publish_kernel_profile as real_publish
+
+        published = []
+
+        def capture(profile, kind, dims, budget, seconds, start=None):
+            published.append((kind, dims, budget, dict(profile)))
+            real_publish(profile, kind, dims, budget, seconds, start=start)
+
+        monkeypatch.setattr(kernels, "publish_kernel_profile", capture)
+        reg = obs.registry()
+        before = {n: reg.get(n).total() if reg.get(n) else 0 for n in self.COUNTERS}
+        s, t = self._clustered(1), self._clustered(2)
+        condition = BandCondition({"A1": (0.05, 0.1), "A2": (0.05, 0.02)})
+        answers = []
+        for budget in (32 * 1000, 32 * 50):
+            for probe_is_s in (True, False):
+                args = (s, t, condition, 0, probe_is_s, budget)
+                answers.append(canonical_pair_order(kernels.interval_join(*args)))
+                answers.append(kernels.interval_count(*args))
+        after = {n: reg.get(n).total() if reg.get(n) else 0 for n in self.COUNTERS}
+        return published, {n: after[n] - before[n] for n in self.COUNTERS}, answers
+
+    def test_native_and_numpy_publish_identical_profiles(self, monkeypatch):
+        from repro.local_join import kernels, native
+
+        if not kernels.native_available():
+            pytest.skip("no C compiler: the native tier cannot be built")
+        obs.enable()
+        native_profiles, native_counters, native_answers = self._run(monkeypatch)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(native, "library", lambda: None)
+            numpy_profiles, numpy_counters, numpy_answers = self._run(patch)
+        assert native_profiles == numpy_profiles
+        assert native_counters == numpy_counters
+        for a, b in zip(native_answers, numpy_answers):
+            np.testing.assert_array_equal(a, b)
+        # The input exercises both re-sorted and sliced chunks.
+        assert native_counters["repro_kernel_resort_wins_total"] > 0
+        assert any(p["max_chunk"] == cap == 50 for _, _, cap, p in native_profiles)
+        assert native_counters["repro_kernel_pairs_total"] > 0
+
+
 class TestServiceSurface:
     def test_query_produces_trace_with_expected_stages(self):
         with BandJoinService(config=ServiceConfig(compaction="sync")) as service:
