@@ -255,7 +255,8 @@ def _time(fn, *args, repeat: int = 2) -> tuple[float, object]:
 def verify_count_never_expands() -> bool:
     """Prove the 1-D count path performs no candidate expansion.
 
-    The kernel expansion hook is replaced by one that fails; every kernel's
+    The candidate-block source that both kernel tiers (native scan and numpy
+    expansion) draw from is replaced by one that fails; every kernel's
     1-D ``count()`` must still answer correctly — i.e. purely from the
     ``searchsorted`` window arithmetic, with no O(output) allocation.
     """
@@ -263,18 +264,23 @@ def verify_count_never_expands() -> bool:
     s, t = rng.uniform(0, 4, size=(2000, 1)), rng.uniform(0, 4, size=(2000, 1))
     condition = BandCondition.symmetric(["A1"], 0.05)
     expected = SortSweepJoin().count(s, t, condition)
-    original = kernels.iter_window_candidates
+    original = kernels._candidate_blocks
+
+    class _Expanded(Exception):
+        pass
 
     def _forbidden(*args, **kwargs):
-        raise AssertionError("1-D count must not expand candidate pairs")
+        raise _Expanded("1-D count must not expand candidate pairs")
 
-    kernels.iter_window_candidates = _forbidden
+    kernels._candidate_blocks = _forbidden
     try:
         for algorithm in (SortSweepJoin(), IEJoinLocal(), IndexNestedLoopJoin()):
             if algorithm.count(s, t, condition) != expected:
                 return False
+    except _Expanded:
+        return False
     finally:
-        kernels.iter_window_candidates = original
+        kernels._candidate_blocks = original
     return True
 
 

@@ -31,6 +31,7 @@ for each t, a rank interval of S) — only the asymmetric epsilon widths swap.
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
 from collections.abc import Iterator
@@ -51,7 +52,6 @@ __all__ = [
     "max_candidates",
     "window_bounds",
     "chunk_spans",
-    "iter_window_candidates",
     "residual_mask",
     "interval_join",
     "interval_count",
@@ -148,7 +148,7 @@ def chunk_spans(counts: np.ndarray, candidate_cap: int) -> Iterator[tuple[int, i
     window sizes stay within ``candidate_cap``.
 
     Each span holds at least one row, so a single window larger than the cap
-    forms its own span (``iter_window_candidates`` slices those further).
+    forms its own span (``_candidate_blocks`` slices those further).
     The span boundaries are found with ``searchsorted`` over the running sum
     — no per-row Python loop.
     """
@@ -205,20 +205,6 @@ def _expand(
     # before it), so adding arange(total) walks its window left to right.
     shifts = block_lows - (np.cumsum(block_counts) - block_counts)
     return probe_pos, np.repeat(shifts, block_counts) + np.arange(total, dtype=np.int64)
-
-
-def iter_window_candidates(
-    lows: np.ndarray, counts: np.ndarray, candidate_cap: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield ``(probe_pos, window_pos)`` candidate chunks of at most
-    ``candidate_cap`` pairs each, expanded with ``repeat``/``arange``.
-
-    ``probe_pos`` indexes the probe rows, ``window_pos`` the sorted side.
-    Oversized single windows are emitted in slices so the cap holds for
-    *every* chunk, keeping peak transient memory bounded.
-    """
-    for block in _candidate_blocks(lows, counts, candidate_cap):
-        yield _expand(*block)
 
 
 def residual_mask(
@@ -285,7 +271,10 @@ def _iter_matches(
     d = probe_side.shape[1]
     eps_left, eps_right = condition.eps_arrays()
     scan = native.library() if _native_eligible(probe_side, sorted_side) else None
-    scan_block = _numpy_scan if scan is None else scan.scan
+    if scan is None:
+        scan_block = _numpy_scan
+    else:
+        scan_block = functools.partial(scan.scan, materialize=materialize)
     highs = lows + counts
     for start, stop in chunk_spans(counts, candidate_cap):
         chunk_counts = counts[start:stop]
@@ -339,7 +328,7 @@ def _iter_matches(
             kept, probe_pos, window_pos = scan_block(
                 probe_side, sorted_side, start + row_start, block_lows,
                 block_counts, total, slice_map, lo, eps_left, eps_right,
-                expand_dim, probe_is_s, materialize,
+                expand_dim, probe_is_s,
             )
             if kept == 0:
                 continue
@@ -364,7 +353,6 @@ def _numpy_scan(
     eps_right: np.ndarray,
     expand_dim: int,
     probe_is_s: bool,
-    materialize: bool = True,
 ) -> tuple[int, np.ndarray, np.ndarray]:
     """The numpy form of :meth:`repro.local_join.native.BandScan.scan`:
     expand one candidate block with ``repeat``/``arange``, then keep the

@@ -14,9 +14,10 @@ the C source, the compiler binary and the Python platform tag, and it is
 written as a temporary file plus an atomic rename, so pool processes that
 build concurrently never load a torn file.  A cache directory or library
 that another user owns, or that is group- or world-writable, is never
-loaded.  Without a compiler, or when the build fails, :func:`library`
-logs one warning and returns ``None``; the kernels then run their numpy
-path, which stays the oracle the native scan is tested against.
+loaded.  Without a compiler, a usable cache directory or a successful
+build, :func:`library` logs one warning and returns ``None``; the kernels
+then run their numpy path, which stays the oracle the native scan is
+tested against.
 """
 
 from __future__ import annotations
@@ -52,9 +53,22 @@ _PTR = ctypes.c_void_p
 
 
 def cache_dir() -> Path:
-    """Per-user directory holding compiled libraries (outside any checkout)."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(Path.home(), ".cache")
-    return Path(base) / "repro-bandjoin"
+    """Per-user directory holding compiled libraries (outside any checkout).
+
+    Raises :class:`OSError` when neither ``XDG_CACHE_HOME`` nor the home
+    directory yields an absolute path (say, no ``HOME`` and a uid without a
+    passwd entry), so the loader falls back instead of failing every join.
+    """
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if os.path.isabs(base):  # a relative value is invalid per the XDG spec
+        return Path(base) / "repro-bandjoin"
+    try:
+        home = Path.home()
+    except (RuntimeError, KeyError) as exc:
+        raise OSError(f"no home directory for the library cache ({exc})") from exc
+    if not home.is_absolute():
+        raise OSError(f"no home directory for the library cache (got {str(home)!r})")
+    return home / ".cache" / "repro-bandjoin"
 
 
 def find_compiler() -> str | None:

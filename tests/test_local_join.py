@@ -17,7 +17,7 @@ from repro.local_join import (
     default_local_join,
     get_local_algorithm,
 )
-from repro.local_join import kernels
+from repro.local_join import kernels, native
 from repro.local_join.auto import AutoJoin
 from repro.local_join.base import canonical_pair_order, join_pair_count
 from repro.local_join.iejoin_local import IEJoinLocal
@@ -264,8 +264,26 @@ class TestZeroMaterializationCounts:
         def _forbidden(*args, **kwargs):
             raise AssertionError("1-D count must not expand candidate pairs")
 
-        monkeypatch.setattr(kernels, "iter_window_candidates", _forbidden)
+        # Both kernel tiers (native scan and numpy expansion) draw their
+        # candidate blocks from here.
+        monkeypatch.setattr(kernels, "_candidate_blocks", _forbidden)
         assert algorithm.count(s, t, condition) == expected
+
+    @pytest.mark.parametrize("tier", ["native", "numpy"])
+    def test_forbidden_seam_is_the_expansion_path(self, tier, rng, monkeypatch):
+        """The seam the 1-D test forbids is the one multi-D counts expand
+        through, on either kernel tier, so the guard above checks something."""
+        if tier == "numpy":
+            monkeypatch.setattr(native, "library", lambda: None)
+        s, t = rng.uniform(0, 3, size=(200, 2)), rng.uniform(0, 3, size=(200, 2))
+        condition = BandCondition.symmetric(["A1", "A2"], 0.25)
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("expanded")
+
+        monkeypatch.setattr(kernels, "_candidate_blocks", _forbidden)
+        with pytest.raises(AssertionError, match="expanded"):
+            SortSweepJoin().count(s, t, condition)
 
     def test_multi_d_count_is_chunk_bounded(self, rng):
         """Multi-dimensional counting also stays exact under a tiny budget."""
@@ -290,7 +308,9 @@ class TestKernelPrimitives:
     def test_oversized_window_is_sliced(self):
         lows = np.array([0], dtype=np.int64)
         counts = np.array([10], dtype=np.int64)
-        chunks = list(kernels.iter_window_candidates(lows, counts, 4))
+        chunks = [
+            kernels._expand(*block) for block in kernels._candidate_blocks(lows, counts, 4)
+        ]
         assert [c[1].size for c in chunks] == [4, 4, 2]
         flat = np.concatenate([c[1] for c in chunks])
         np.testing.assert_array_equal(flat, np.arange(10))

@@ -84,6 +84,47 @@ def test_failing_compile_falls_back_once_with_the_same_pairs(
     assert not list((tmp_path / "cache").iterdir())  # no torn or partial file
 
 
+def _no_home():
+    raise RuntimeError("Could not determine home directory.")
+
+
+@pytest.mark.parametrize(
+    "home",
+    [_no_home, lambda: native.Path("~")],
+    ids=["home-raises", "home-unexpanded"],
+)
+def test_missing_home_directory_falls_back_once(
+    home, tmp_path, monkeypatch, native_log
+):
+    # No HOME and a uid without a passwd entry: Path.home() raises (3.12+)
+    # or hands back an unexpanded "~" (3.11 and older).
+    monkeypatch.delenv("HOME", raising=False)
+    monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+    monkeypatch.setattr(native.Path, "home", staticmethod(home))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(native, "_LOADER", native.NativeLoader(compiler=COMPILER))
+    s, t, condition = _inputs()
+    reference = canonical_pair_order(NestedLoopJoin().join(s, t, condition))
+    algorithm = SortSweepJoin(memory_budget=4096)
+    for _ in range(3):
+        np.testing.assert_array_equal(
+            canonical_pair_order(algorithm.join(s, t, condition)), reference
+        )
+        assert algorithm.count(s, t, condition) == reference.shape[0]
+    assert not kernels.native_available()
+    warnings = [r for r in native_log if r.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    if COMPILER is not None:
+        assert "home directory" in warnings[0].getMessage()
+    assert not list(tmp_path.iterdir())  # nothing created relative to the cwd
+
+
+def test_relative_xdg_cache_home_is_ignored(tmp_path, monkeypatch):
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    monkeypatch.setenv("HOME", str(tmp_path))
+    assert native.cache_dir() == tmp_path / ".cache" / "repro-bandjoin"
+
+
 def test_group_writable_cache_is_refused(tmp_path, monkeypatch, native_log):
     cache = tmp_path / "cache"
     cache.mkdir(mode=0o700)
